@@ -59,9 +59,6 @@ var (
 	// ErrOutsideDomains is returned when a failure touches no recovery
 	// domain.
 	ErrOutsideDomains = hierarchy.ErrFailureOutsideDomains
-	// ErrUnsupportedFailure is returned when a recovery model cannot
-	// attribute the failure kind to a domain.
-	ErrUnsupportedFailure = hierarchy.ErrUnsupportedFailure
 
 	// ErrBadTopologyConfig is returned by topology-generator validation.
 	ErrBadTopologyConfig = topology.ErrBadConfig

@@ -1,8 +1,9 @@
 // Hierarchy: the paper's §3.3.3 recovery architecture on a transit–stub
-// internetwork. Receivers are clustered into stub recovery domains, each
-// with an agent relaying from the level-0 core tree; a link failure inside
-// one stub is recovered entirely inside that domain, leaving every other
-// domain (and the core) untouched.
+// internetwork, run as the 2-level case of the N-level hierarchical session.
+// The transit core is domain 0 and the stubs are domains 1..k. Receivers are
+// clustered into stub recovery domains, each with an agent relaying from the
+// level-0 core tree; a link failure inside one stub is recovered entirely
+// inside that domain, leaving every other domain (and the core) untouched.
 //
 //	go run ./examples/hierarchy
 package main
@@ -26,28 +27,29 @@ func run() error {
 		return err
 	}
 	fmt.Printf("transit–stub network: %s\n", smrp.DescribeTopology(ts.Graph))
+	stubs := ts.Domains[1:]
 	fmt.Printf("  %d-node transit core, %d stub domains of %d nodes each\n",
-		len(ts.Transit.Nodes), len(ts.Stubs), len(ts.Stubs[0].Nodes))
+		len(ts.Domains[0].Nodes), len(stubs), len(stubs[0].Nodes))
 
 	// Source inside the first stub domain.
 	var src smrp.NodeID = smrp.Invalid
-	for _, n := range ts.Stubs[0].Nodes {
-		if n != ts.Stubs[0].Gateway {
+	for _, n := range stubs[0].Nodes {
+		if n != stubs[0].Gateway {
 			src = n
 			break
 		}
 	}
-	sess, err := smrp.NewHierarchicalSession(ts, src, smrp.DefaultConfig())
+	sess, err := smrp.NewNLevelSession(ts, src, smrp.DefaultConfig())
 	if err != nil {
 		return err
 	}
 
 	// Two receivers per stub domain.
 	joined := 0
-	for i := range ts.Stubs {
+	for i := range stubs {
 		count := 0
-		for _, n := range ts.Stubs[i].Nodes {
-			if n == ts.Stubs[i].Gateway || n == src {
+		for _, n := range stubs[i].Nodes {
+			if n == stubs[i].Gateway || n == src {
 				continue
 			}
 			if err := sess.Join(n); err != nil {
@@ -60,7 +62,7 @@ func run() error {
 		}
 	}
 	fmt.Printf("source %d (stub %d), %d receivers across %d domains\n\n",
-		src, ts.Stubs[0].ID, joined, len(ts.Stubs))
+		src, stubs[0].ID, joined, len(stubs))
 
 	for _, m := range sess.Members() {
 		d, err := sess.EndToEndDelay(m)
@@ -68,19 +70,19 @@ func run() error {
 			return err
 		}
 		fmt.Printf("  receiver %-4d domain %-2d end-to-end delay %.3f\n",
-			m, ts.DomainOf(m).ID, d)
+			m, ts.DomainOf(m), d)
 	}
 
 	// Fail the worst-case link for a receiver in a non-source stub.
 	var victim smrp.NodeID = smrp.Invalid
 	var victimDomain int
 	for _, m := range sess.Members() {
-		if d := ts.DomainOf(m); d.ID != ts.Stubs[0].ID {
-			victim, victimDomain = m, d.ID
+		if d := ts.DomainOf(m); d != stubs[0].ID {
+			victim, victimDomain = m, d
 			break
 		}
 	}
-	stubSess, nm, err := sess.StubTree(victimDomain)
+	stubSess, nm, err := sess.DomainSession(victimDomain)
 	if err != nil {
 		return err
 	}

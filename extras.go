@@ -57,24 +57,17 @@ func NewSPFInstance(net *Network, source NodeID, cfg ProtocolConfig) (*SPFInstan
 
 // Hierarchical recovery aliases (§3.3.3).
 type (
-	// HierarchicalSession runs SMRP per recovery domain over a transit–stub
-	// topology, confining failures to the domain where they occur.
-	HierarchicalSession = hierarchy.Session
 	// DomainRecoveryReport describes a domain-confined recovery.
 	DomainRecoveryReport = hierarchy.RecoveryReport
-	// NLevelSession generalizes the recovery architecture to N levels.
+	// NLevelSession runs SMRP per recovery domain over an N-level hierarchy
+	// (transit–stub is the 2-level case), confining failures to the domains
+	// where they occur.
 	NLevelSession = hierarchy.NLevelSession
 	// NLevelTopology is an N-level hierarchical network.
 	NLevelTopology = topology.NLevelTopology
 	// NLevelConfig parameterizes the N-level generator.
 	NLevelConfig = topology.NLevelConfig
 )
-
-// NewHierarchicalSession builds a hierarchical SMRP session over ts with
-// the true multicast source at src (inside a stub domain).
-func NewHierarchicalSession(ts *TransitStub, src NodeID, cfg Config) (*HierarchicalSession, error) {
-	return hierarchy.New(ts, src, cfg)
-}
 
 // GenerateNLevel builds an N-level hierarchical network.
 func GenerateNLevel(cfg NLevelConfig, seed uint64) (*NLevelTopology, error) {

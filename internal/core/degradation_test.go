@@ -104,7 +104,7 @@ func TestDegradationPartitionRepair(t *testing.T) {
 			}
 			rep, err := s.Recover(tc.fail...)
 			if err != nil {
-				t.Fatalf("HealSet(%v) = %v", tc.fail, err)
+				t.Fatalf("Recover(%v) = %v", tc.fail, err)
 			}
 			if !slices.Equal(rep.Unrecovered, tc.wantUnrecovered) {
 				t.Fatalf("Unrecovered = %v, want %v", rep.Unrecovered, tc.wantUnrecovered)

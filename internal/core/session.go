@@ -341,6 +341,10 @@ func (s *Session) IsParked(m graph.NodeID) bool { return s.parked[m] }
 // healthy).
 func (s *Session) FailedMask() *graph.Mask { return s.failed.Clone() }
 
+// SourceDown reports whether the accumulated failure mask blocks the
+// session's source, without the copy FailedMask makes.
+func (s *Session) SourceDown() bool { return s.maskOrNil().NodeBlocked(s.tree.Source()) }
+
 // ApplyFailure folds persistent failures into the session's accumulated
 // mask without healing. Recover applies its failures itself; use this when the
 // protocol layer detects a failure before recovery begins.

@@ -13,7 +13,7 @@ import (
 
 // TestSMRPStrategyEquivalence pins the api_redesign's zero-behavior-change
 // guarantee: a session configured with the explicit SMRP strategy must
-// reproduce, bit-exactly, every Heal/HealSet/Repair/Reconcile report and the
+// reproduce, bit-exactly, every Recover/Repair/Reconcile report and the
 // final session state of a default (nil-Strategy) session across randomized
 // failure schedules.
 func TestSMRPStrategyEquivalence(t *testing.T) {

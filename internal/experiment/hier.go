@@ -80,10 +80,12 @@ func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, e
 		// Stub sessions and worst-case probes re-query shortest paths on the
 		// shared full topology; memoize them for this run.
 		ts.Graph.EnableSPFCache()
-		// Source: first non-gateway node of stub 0.
+		// Source: first non-gateway node of stub 0 (domain 1; domain 0 is
+		// the transit core).
+		stubs := ts.Domains[1:]
 		var src graph.NodeID = graph.Invalid
-		for _, n := range ts.Stubs[0].Nodes {
-			if n != ts.Stubs[0].Gateway {
+		for _, n := range stubs[0].Nodes {
+			if n != stubs[0].Gateway {
 				src = n
 				break
 			}
@@ -93,10 +95,10 @@ func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, e
 		}
 		// Members: two non-gateway nodes from every stub.
 		var members []graph.NodeID
-		for i := range ts.Stubs {
+		for i := range stubs {
 			count := 0
-			for _, n := range ts.Stubs[i].Nodes {
-				if n != ts.Stubs[i].Gateway && n != src {
+			for _, n := range stubs[i].Nodes {
+				if n != stubs[i].Gateway && n != src {
 					members = append(members, n)
 					if count++; count == 2 {
 						break
@@ -105,7 +107,7 @@ func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, e
 			}
 		}
 
-		hier, err := hierarchy.New(ts, src, cfg)
+		hier, err := hierarchy.NewNLevel(ts, src, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -141,15 +143,15 @@ func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, e
 		// own stub domain.
 		victim, victimDomain := graph.Invalid, -1
 		for _, m := range members {
-			if d := ts.DomainOf(m); d.ID != ts.DomainOf(src).ID {
-				victim, victimDomain = m, d.ID
+			if d := ts.DomainOf(m); d != ts.DomainOf(src) {
+				victim, victimDomain = m, d
 				break
 			}
 		}
 		if victim == graph.Invalid {
 			return hr, nil
 		}
-		sess, nm, err := hier.StubTree(victimDomain)
+		sess, nm, err := hier.DomainSession(victimDomain)
 		if err != nil {
 			return nil, err
 		}

@@ -8,40 +8,62 @@ import (
 	"smrp/internal/core"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
+	"smrp/internal/topology"
 )
 
 // TestDomainDownRepairRevive drives the hierarchy through the degraded-domain
-// state machine: failing a stub's agent (its gateway) suspends the whole
+// state machine: failing a domain's agent (its gateway) suspends the whole
 // domain, its members park as a group, and repairing the agent revives the
-// domain and re-admits them automatically.
+// domain and re-admits them automatically. It runs on the 2-level
+// transit–stub topology and once on a 3-level hierarchy.
 func TestDomainDownRepairRevive(t *testing.T) {
-	ts, src := buildTS(t, 3)
-	s, err := New(ts, src, core.DefaultConfig())
+	t.Run("transit-stub", func(t *testing.T) {
+		ts, src := buildTS(t, 3)
+		testDomainDownRepairRevive(t, ts, src, pickMembers(ts, src, 8))
+	})
+	t.Run("3-level", func(t *testing.T) {
+		nt, src := buildNLevel(t, 3)
+		// One non-gateway receiver in every domain, the core included.
+		var members []graph.NodeID
+		for _, d := range nt.Domains {
+			for _, n := range d.Nodes {
+				if n != d.Gateway && n != src {
+					members = append(members, n)
+					break
+				}
+			}
+		}
+		testDomainDownRepairRevive(t, nt, src, members)
+	})
+}
+
+func testDomainDownRepairRevive(t *testing.T, topo *topology.NLevelTopology, src graph.NodeID, members []graph.NodeID) {
+	s, err := NewNLevel(topo, src, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := pickMembers(ts, src, 8)
 	for _, m := range members {
 		if err := s.Join(m); err != nil {
 			t.Fatalf("Join(%d) = %v", m, err)
 		}
 	}
 
-	// Pick a member outside the source's domain; its stub's gateway is the
-	// domain agent we will fail.
-	srcDom := ts.DomainOf(src)
+	// Pick a member in a leaf domain other than the source's; its domain's
+	// gateway is the agent we will fail.
+	srcDom := topo.DomainOf(src)
+	leaves := topo.Leaves()
 	var victim graph.NodeID = graph.Invalid
 	for _, m := range members {
-		if d := ts.DomainOf(m); d.ID != srcDom.ID && m != d.Gateway {
+		if d := topo.DomainOf(m); d != srcDom && slices.Contains(leaves, d) && m != topo.Domains[d].Gateway {
 			victim = m
 			break
 		}
 	}
 	if victim == graph.Invalid {
-		t.Fatal("no member outside the source domain")
+		t.Fatal("no member in a leaf domain outside the source domain")
 	}
-	dom := ts.DomainOf(victim)
-	agent := dom.Gateway
+	dom := topo.DomainOf(victim)
+	agent := topo.Domains[dom].Gateway
 
 	reports, err := s.RecoverSet([]failure.Failure{failure.NodeDown(agent)})
 	if err != nil {
@@ -49,20 +71,19 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	}
 	var domainDown bool
 	for _, r := range reports {
-		if r.DomainID == dom.ID && r.DomainDown {
+		if r.DomainID == dom && r.DomainDown {
 			domainDown = true
 		}
 	}
 	if !domainDown {
-		t.Fatalf("agent failure did not mark domain %d down; reports: %+v", dom.ID, reports)
+		t.Fatalf("agent failure did not mark domain %d down; reports: %+v", dom, reports)
 	}
-	// Every member of the down domain is degraded as a group.
+	// Every member of the down domain is degraded as a group; members
+	// elsewhere keep the stream.
 	parked := s.Parked()
 	for _, m := range members {
-		if ts.DomainOf(m).ID == dom.ID {
-			if !slices.Contains(parked, m) {
-				t.Errorf("member %d of down domain %d not parked (parked = %v)", m, dom.ID, parked)
-			}
+		if inDom := topo.DomainOf(m) == dom; inDom != slices.Contains(parked, m) {
+			t.Errorf("member %d (in down domain %d: %v) parked = %v", m, dom, inDom, parked)
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -76,8 +97,8 @@ func TestDomainDownRepairRevive(t *testing.T) {
 		t.Fatalf("RecoverSet while domain down = %v", err)
 	}
 	for _, r := range reports {
-		if r.DomainID == dom.ID && !r.DomainDown {
-			t.Fatalf("domain %d should still be down: %+v", dom.ID, r)
+		if r.DomainID == dom && !r.DomainDown {
+			t.Fatalf("domain %d should still be down: %+v", dom, r)
 		}
 	}
 
@@ -87,8 +108,8 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Repair = %v", err)
 	}
-	if !slices.Contains(sum.Revived, dom.ID) {
-		t.Fatalf("Revived = %v, want to contain %d", sum.Revived, dom.ID)
+	if !slices.Contains(sum.Revived, dom) {
+		t.Fatalf("Revived = %v, want to contain %d", sum.Revived, dom)
 	}
 	if len(sum.StillParked) != 0 {
 		t.Fatalf("StillParked = %v, want empty", sum.StillParked)
@@ -106,10 +127,8 @@ func TestDomainDownRepairRevive(t *testing.T) {
 // TestHierarchyErrorIdentity pins the typed sentinels of the hierarchy API.
 func TestHierarchyErrorIdentity(t *testing.T) {
 	ts, src := buildTS(t, 4)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := pickMembers(ts, src, 4)
+	s := joinAll(t, ts, src, members)
 	if _, err := s.RecoverSet(nil); !errors.Is(err, failure.ErrBadSchedule) {
 		t.Errorf("RecoverSet(nil) = %v, want ErrBadSchedule", err)
 	}
@@ -118,5 +137,18 @@ func TestHierarchyErrorIdentity(t *testing.T) {
 	}
 	if err := s.Join(graph.NodeID(ts.Graph.NumNodes() + 5)); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("Join(out of range) = %v, want ErrUnknownNode", err)
+	}
+	if err := s.Join(members[0]); !errors.Is(err, core.ErrAlreadyMember) {
+		t.Errorf("Join(member) = %v, want core.ErrAlreadyMember", err)
+	}
+	nonMember := ts.Domains[0].Nodes[1]
+	if err := s.Leave(nonMember); !errors.Is(err, core.ErrNotMember) {
+		t.Errorf("Leave(non-member) = %v, want core.ErrNotMember", err)
+	}
+	if _, err := s.EndToEndDelay(nonMember); !errors.Is(err, core.ErrNotMember) {
+		t.Errorf("EndToEndDelay(non-member) = %v, want core.ErrNotMember", err)
+	}
+	if _, err := NewNLevel(ts, graph.NodeID(ts.Graph.NumNodes()+1), core.DefaultConfig()); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("NewNLevel(source outside every domain) = %v, want ErrUnknownNode", err)
 	}
 }

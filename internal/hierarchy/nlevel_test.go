@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"errors"
 	"testing"
 
 	"smrp/internal/core"
@@ -266,13 +267,40 @@ func TestNLevelLeave(t *testing.T) {
 	}
 }
 
+// TestNLevelRejectsNodeFailure pins node-failure attribution on a 3-level
+// hierarchy: a node outside every domain is rejected; a mid-level gateway
+// crash hits its own domain and, as that domain's agent, its parent — the
+// deeper domain first in heal order.
 func TestNLevelRejectsNodeFailure(t *testing.T) {
 	nt, src := buildNLevel(t, 14)
 	s, err := NewNLevel(nt, src, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Recover(failure.NodeDown(0)); err == nil {
-		t.Error("node failures are not attributable")
+	if _, err := s.Recover(failure.NodeDown(graph.NodeID(nt.Graph.NumNodes()))); !errors.Is(err, ErrFailureOutsideDomains) {
+		t.Errorf("node outside every domain = %v, want ErrFailureOutsideDomains", err)
+	}
+	mid := -1
+	for _, d := range nt.Domains {
+		if d.Level == 1 && !s.onChain[d.ID] {
+			mid = d.ID
+			break
+		}
+	}
+	if mid == -1 {
+		t.Fatal("no level-1 domain off the source chain")
+	}
+	reports, err := s.RecoverSet([]failure.Failure{failure.NodeDown(nt.Domains[mid].Gateway)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 || reports[0].DomainID != mid || reports[0].Level != 1 || reports[1].DomainID != 0 {
+		t.Fatalf("gateway crash reports = %+v, want domain %d then the root", reports, mid)
+	}
+	if !reports[0].DomainDown {
+		t.Errorf("domain %d lost its agent but is not down", mid)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

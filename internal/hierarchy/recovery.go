@@ -1,201 +1,171 @@
 package hierarchy
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
+	"smrp/internal/core"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
-	"smrp/internal/topology"
 )
 
-// This file extends §3.3.3's domain-confined recovery to the multi-failure
+// This file is §3.3.3's domain-confined recovery in the multi-failure
 // regime: correlated batches that straddle domains, node failures (including
 // a domain's own agent), graceful domain-wide degradation while an agent is
-// down, and repair-driven revival with automatic re-admission. The
-// single-failure Recover in hierarchy.go delegates here.
+// down, and repair-driven revival with automatic re-admission.
 
-// attribution pairs a recovery domain with a failure translated into the
-// domain's local ID space.
-type attribution struct {
-	ds    *domainSession
-	local failure.Failure
+// RecoveryReport describes a domain-confined recovery.
+type RecoveryReport struct {
+	// DomainID is the recovery domain that handled the failure (0 = the
+	// root/core domain).
+	DomainID int
+	// Level is the domain's depth: 0 for the core, 1 for its children (the
+	// stubs of a transit–stub hierarchy), and so on.
+	Level int
+	// Heal is the domain-local SMRP recovery report, in the domain's local
+	// ID space.
+	Heal *core.HealReport
+	// NodesInDomain is the size of the domain that had to react — its own
+	// routers plus its children's gateways. Every other domain is
+	// untouched, which is the scalability argument of §3.3.3.
+	NodesInDomain int
+	// DomainDown reports that the domain's own agent is down: recovery
+	// there is suspended (Heal is nil) and its members are degraded as a
+	// group until a Repair revives the agent.
+	DomainDown bool
 }
 
-// attribute maps f onto every recovery domain it touches. Link failures
-// follow the paper's rule: a link inside one stub is that stub's problem;
-// anything touching the transit core or crossing domains is handled at
-// level 0. A node failure hits the node's own domain; a gateway failure
-// additionally hits the level-0 domain, where the node doubles as the
-// stub's agent.
-func (s *Session) attribute(f failure.Failure) ([]attribution, error) {
+// attribution pairs a recovery domain with a failure translated into the
+// domain session's local ID space.
+type attribution struct {
+	domain int
+	local  failure.Failure
+}
+
+// attribute appends to out every recovery domain f touches. A link inside
+// one domain is that domain's problem; a gateway uplink (child gateway ↔
+// parent node) belongs to the parent, whose session holds both ends. A node
+// failure hits the node's own domain; a gateway failure additionally hits
+// the parent domain, where the node doubles as the child's agent.
+func (s *NLevelSession) attribute(f failure.Failure, out []attribution) ([]attribution, error) {
 	switch f.Kind {
 	case failure.LinkFailure:
-		du := s.ts.DomainOf(f.Edge.A)
-		dv := s.ts.DomainOf(f.Edge.B)
-		if du == nil || dv == nil {
+		du, dv := s.topo.DomainOf(f.Edge.A), s.topo.DomainOf(f.Edge.B)
+		if du < 0 || dv < 0 {
 			return nil, ErrFailureOutsideDomains
 		}
-		if du.Kind == topology.StubDomain && dv.Kind == topology.StubDomain && du.ID == dv.ID {
-			ds := s.stubs[du.ID]
-			a, okA := ds.nm.ToSub(f.Edge.A)
-			b, okB := ds.nm.ToSub(f.Edge.B)
-			if !okA || !okB {
-				return nil, fmt.Errorf("hierarchy: link %v not inside stub %d: %w", f, du.ID, ErrFailureOutsideDomains)
-			}
-			return []attribution{{ds, failure.LinkDown(a, b)}}, nil
+		target := du
+		if s.topo.Domains[du].Parent == dv {
+			target = dv
+		} else if du != dv && s.topo.Domains[dv].Parent != du {
+			return nil, fmt.Errorf("hierarchy: link %v spans unrelated domains %d/%d: %w", f.Edge, du, dv, ErrFailureOutsideDomains)
 		}
-		a, okA := s.top.nm.ToSub(f.Edge.A)
-		b, okB := s.top.nm.ToSub(f.Edge.B)
+		nm := s.sessions[target].nm
+		a, okA := nm.ToSub(f.Edge.A)
+		b, okB := nm.ToSub(f.Edge.B)
 		if !okA || !okB {
-			return nil, fmt.Errorf("hierarchy: link %v not visible at level 0: %w", f, ErrFailureOutsideDomains)
+			return nil, fmt.Errorf("hierarchy: link %v not inside domain %d's session: %w", f.Edge, target, ErrFailureOutsideDomains)
 		}
-		return []attribution{{s.top, failure.LinkDown(a, b)}}, nil
+		return append(out, attribution{target, failure.LinkDown(a, b)}), nil
 
 	case failure.NodeFailure:
-		d := s.ts.DomainOf(f.Node)
-		if d == nil {
+		d := s.topo.DomainOf(f.Node)
+		if d < 0 {
 			return nil, ErrFailureOutsideDomains
 		}
-		if d.Kind == topology.TransitDomain {
-			sub, ok := s.top.nm.ToSub(f.Node)
-			if !ok {
-				return nil, fmt.Errorf("hierarchy: transit node %d not visible at level 0: %w", f.Node, ErrFailureOutsideDomains)
-			}
-			return []attribution{{s.top, failure.NodeDown(sub)}}, nil
+		sub, _ := s.sessions[d].nm.ToSub(f.Node)
+		out = append(out, attribution{d, failure.NodeDown(sub)})
+		if dom := &s.topo.Domains[d]; f.Node == dom.Gateway && dom.Parent != -1 {
+			psub, _ := s.sessions[dom.Parent].nm.ToSub(f.Node)
+			out = append(out, attribution{dom.Parent, failure.NodeDown(psub)})
 		}
-		ds := s.stubs[d.ID]
-		sub, ok := ds.nm.ToSub(f.Node)
-		if !ok {
-			return nil, fmt.Errorf("hierarchy: node %d not inside stub %d: %w", f.Node, d.ID, ErrFailureOutsideDomains)
-		}
-		atts := []attribution{{ds, failure.NodeDown(sub)}}
-		if f.Node == d.Gateway {
-			if topSub, ok := s.top.nm.ToSub(f.Node); ok {
-				atts = append(atts, attribution{s.top, failure.NodeDown(topSub)})
-			}
-		}
-		return atts, nil
+		return out, nil
 
 	default:
 		return nil, fmt.Errorf("hierarchy: failure kind %v: %w", f.Kind, ErrFailureOutsideDomains)
 	}
 }
 
-// down reports whether the domain's own root — the stub's agent, or the
-// source relay for the level-0 domain — is blocked by the domain's
-// accumulated failure mask. A down domain suspends recovery: its members are
-// degraded as a group until a repair revives the root.
-func (d *domainSession) down() bool {
-	return d.session.FailedMask().NodeBlocked(d.session.Tree().Source())
-}
-
-// domainByID resolves a recovery-domain ID (-1 = level-0 core).
-func (s *Session) domainByID(id int) *domainSession {
-	if id == -1 {
-		return s.top
-	}
-	return s.stubs[id]
-}
-
-// domainSize is the number of routers that must react when domain id heals.
-func (s *Session) domainSize(id int) int {
-	if id == -1 {
-		return len(s.ts.Transit.Nodes) + len(s.ts.Stubs)
-	}
-	return len(s.ts.Stubs[indexOfStub(s.ts, id)].Nodes)
-}
-
-// sortDomainIDs orders recovery domains deterministically: stubs ascending,
-// the level-0 core (-1) last, so stub-local damage is resolved before the
-// core reacts to agent changes.
-func sortDomainIDs(ids []int) {
-	slices.SortFunc(ids, func(a, b int) int {
-		switch {
-		case a == b:
-			return 0
-		case a == -1:
-			return 1
-		case b == -1:
-			return -1
-		case a < b:
-			return -1
-		default:
-			return 1
-		}
-	})
-}
-
-// groupByDomain attributes every failure and groups the translated failures
-// per recovery domain, returning the touched domain IDs in heal order.
-func (s *Session) groupByDomain(fs []failure.Failure) (map[int][]failure.Failure, []int, error) {
-	per := make(map[int][]failure.Failure)
+// forEachBatch attributes every failure in fs, then calls visit once per
+// touched recovery domain with the domain's failures translated to its local
+// ID space, in input order. Domains come in heal order: deepest level first,
+// then ascending domain ID, so damage below is settled before an ancestor
+// reacts to its agents.
+func (s *NLevelSession) forEachBatch(fs []failure.Failure, visit func(domain int, local []failure.Failure) error) error {
+	var buf [4]attribution // a single failure touches at most two domains
+	atts := buf[:0]
 	for _, f := range fs {
-		atts, err := s.attribute(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, a := range atts {
-			per[a.ds.id] = append(per[a.ds.id], a.local)
+		var err error
+		if atts, err = s.attribute(f, atts); err != nil {
+			return err
 		}
 	}
-	ids := make([]int, 0, len(per))
-	for id := range per {
-		ids = append(ids, id)
+	slices.SortStableFunc(atts, func(a, b attribution) int {
+		if la, lb := s.topo.Domains[a.domain].Level, s.topo.Domains[b.domain].Level; la != lb {
+			return lb - la
+		}
+		return a.domain - b.domain
+	})
+	local := make([]failure.Failure, len(atts))
+	for i, a := range atts {
+		local[i] = a.local
 	}
-	sortDomainIDs(ids)
-	return per, ids, nil
+	for i, j := 0, 0; i < len(atts); i = j {
+		for j = i + 1; j < len(atts) && atts[j].domain == atts[i].domain; j++ {
+		}
+		if err := visit(atts[i].domain, local[i:j:j]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Recover handles one failure: RecoverSet of a one-element batch. When the
+// failure touches several domains (a gateway crash also hits the parent),
+// the report of the deepest one — the node's own domain — is returned.
+func (s *NLevelSession) Recover(f failure.Failure) (*RecoveryReport, error) {
+	reports, err := s.RecoverSet([]failure.Failure{f})
+	if err != nil {
+		return nil, err
+	}
+	return reports[0], nil
 }
 
 // RecoverSet handles a correlated failure batch (an SRLG cut): each failure
 // is attributed to the recovery domain(s) it touches, and every touched
-// domain heals its own sub-tree — all other domains are untouched, which is
-// the scalability argument of §3.3.3. Domains whose agent is (or goes) down
-// degrade gracefully: recovery there is suspended, the failures keep
-// accumulating in the domain's mask, and the report carries DomainDown; a
-// later Repair that revives the agent reconciles the domain automatically.
-func (s *Session) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, error) {
+// domain heals its own sub-tree, in heal order — all other domains are
+// untouched, which is the scalability argument of §3.3.3. Domains whose
+// agent is (or goes) down degrade gracefully: recovery there is suspended,
+// the failures keep accumulating in the domain's mask, and the report
+// carries DomainDown; a later Repair that revives the agent reconciles the
+// domain automatically.
+func (s *NLevelSession) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, error) {
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("hierarchy: recover: %w: empty failure set", failure.ErrBadSchedule)
 	}
-	per, ids, err := s.groupByDomain(fs)
+	var reports []*RecoveryReport
+	err := s.forEachBatch(fs, func(d int, local []failure.Failure) error {
+		dom := &s.topo.Domains[d]
+		sess := s.sessions[d].session
+		rep := &RecoveryReport{DomainID: d, Level: dom.Level, NodesInDomain: len(dom.Nodes) + len(dom.Children)}
+		reports = append(reports, rep)
+		// A domain whose agent is already down stays suspended; one whose
+		// agent fails in this batch is rejected by Recover without touching
+		// the mask. Either way the failures must accumulate so revival
+		// reconciles against every one of them.
+		if sess.SourceDown() || failure.TakesDownNode(local, sess.Tree().Source()) {
+			sess.ApplyFailure(local...)
+			rep.DomainDown = true
+			return nil
+		}
+		var err error
+		if rep.Heal, err = sess.Recover(local...); err != nil {
+			return fmt.Errorf("hierarchy: heal domain %d: %w", d, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	var reports []*RecoveryReport
-	for _, id := range ids {
-		ds := s.domainByID(id)
-		rep := &RecoveryReport{DomainID: id, Level: 1, NodesInDomain: s.domainSize(id)}
-		if id == -1 {
-			rep.Level = 0
-		}
-		if ds.down() {
-			// Agent already down: recovery stays suspended, but the failures
-			// must still accumulate so revival reconciles against all of them.
-			ds.session.ApplyFailure(per[id]...)
-			rep.DomainDown = true
-			reports = append(reports, rep)
-			continue
-		}
-		heal, err := ds.session.Recover(per[id]...)
-		if err != nil {
-			if errors.Is(err, failure.ErrSourceFailed) {
-				// The domain's own agent just failed. Recover rejects the
-				// batch without touching the mask (so servers can't be
-				// corrupted by a rejected request), so fold it in
-				// explicitly here: the domain degrades as a group (see
-				// Parked) and revival must reconcile against every
-				// accumulated failure.
-				ds.session.ApplyFailure(per[id]...)
-				rep.DomainDown = true
-				reports = append(reports, rep)
-				continue
-			}
-			return nil, fmt.Errorf("hierarchy: heal domain %d: %w", id, err)
-		}
-		rep.Heal = heal
-		reports = append(reports, rep)
 	}
 	return reports, nil
 }
@@ -207,7 +177,7 @@ type RepairSummary struct {
 	Repaired []failure.Failure
 	// Revived lists recovery domains whose agent came back up (and whose
 	// sub-tree was reconciled against everything that failed while it was
-	// down), stub IDs ascending, -1 (the core) last.
+	// down), in heal order: deepest level first, then ascending ID.
 	Revived []int
 	// Readmitted lists receivers re-admitted somewhere in the hierarchy by
 	// this repair, ascending (full-graph IDs).
@@ -220,55 +190,48 @@ type RepairSummary struct {
 // domain lifts the repairs from its mask and automatically re-admits the
 // members the repair reconnects; a domain whose agent comes back is
 // reconciled against every failure that accumulated while it was down.
-func (s *Session) Repair(fs ...failure.Failure) (*RepairSummary, error) {
+func (s *NLevelSession) Repair(fs ...failure.Failure) (*RepairSummary, error) {
 	sum := &RepairSummary{Repaired: fs}
-	per, ids, err := s.groupByDomain(fs)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		ds := s.domainByID(id)
-		wasDown := ds.down()
-		rep, err := ds.session.Repair(per[id]...)
+	err := s.forEachBatch(fs, func(d int, local []failure.Failure) error {
+		ds := s.sessions[d]
+		wasDown := ds.session.SourceDown()
+		rep, err := ds.session.Repair(local...)
 		if err != nil {
-			return nil, fmt.Errorf("hierarchy: repair domain %d: %w", id, err)
+			return fmt.Errorf("hierarchy: repair domain %d: %w", d, err)
 		}
 		for _, m := range rep.Readmitted {
 			if full, ok := ds.nm.ToFull(m); ok && s.members[full] {
 				sum.Readmitted = append(sum.Readmitted, full)
 			}
 		}
-		if wasDown && !ds.down() {
+		if wasDown && !ds.session.SourceDown() {
 			// The agent is back: reconcile the domain tree against whatever
 			// else failed while it was suspended.
 			if _, err := ds.session.Reconcile(); err != nil {
-				return nil, fmt.Errorf("hierarchy: revive domain %d: %w", id, err)
+				return fmt.Errorf("hierarchy: revive domain %d: %w", d, err)
 			}
-			sum.Revived = append(sum.Revived, id)
+			sum.Revived = append(sum.Revived, d)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	slices.Sort(sum.Readmitted)
 	sum.StillParked = s.Parked()
 	return sum, nil
 }
 
-// Parked lists the receivers currently degraded, ascending: members parked
-// inside their stub session, members of a down domain, and members whose
-// cross-domain delivery is cut because their agent is unreachable at
-// level 0 (or the level-0 domain itself is down).
-func (s *Session) Parked() []graph.NodeID {
-	srcDomain := s.ts.DomainOf(s.source)
-	topDown := s.top.down()
+// Parked lists the receivers currently degraded, ascending: a receiver is
+// degraded when any domain on its delivery path is down or has parked the
+// node it must deliver to. The path runs up the source chain from the
+// source's domain to the deepest common ancestor — each relay agent must
+// still get the stream — and then down the receiver's own domain chain to
+// the receiver.
+func (s *NLevelSession) Parked() []graph.NodeID {
 	out := make([]graph.NodeID, 0)
 	for m := range s.members {
-		d := s.ts.DomainOf(m)
-		ds := s.stubs[d.ID]
-		switch {
-		case ds.down():
-			out = append(out, m)
-		case parkedIn(ds, m):
-			out = append(out, m)
-		case d.ID != srcDomain.ID && (topDown || parkedIn(s.top, ds.agent)):
+		if !s.delivered(m) {
 			out = append(out, m)
 		}
 	}
@@ -276,9 +239,41 @@ func (s *Session) Parked() []graph.NodeID {
 	return out
 }
 
-// parkedIn reports whether full-graph node n is parked inside domain d's
-// sub-session.
-func parkedIn(d *domainSession, n graph.NodeID) bool {
-	sub, ok := d.nm.ToSub(n)
-	return ok && d.session.IsParked(sub)
+// delivered reports whether the stream reaches member m.
+func (s *NLevelSession) delivered(m graph.NodeID) bool {
+	// Down-leg: m's own domain, then each ancestor up to the first
+	// source-chain domain (the common ancestor), must reach the node it
+	// hands the stream to.
+	target, d := m, s.topo.DomainOf(m)
+	for !s.onChain[d] {
+		if !s.reaches(d, target) {
+			return false
+		}
+		target, d = s.topo.Domains[d].Gateway, s.topo.Domains[d].Parent
+	}
+	if !s.reaches(d, target) {
+		return false
+	}
+	// Up-leg: every source-chain domain below the ancestor must reach its
+	// own relay gateway.
+	for _, c := range s.sourceChain {
+		if c == d {
+			break
+		}
+		if !s.reaches(c, s.topo.Domains[c].Gateway) {
+			return false
+		}
+	}
+	return true
+}
+
+// reaches reports whether domain d's session delivers to full-graph node n:
+// the domain's agent is up and n is not parked there.
+func (s *NLevelSession) reaches(d int, n graph.NodeID) bool {
+	ds := s.sessions[d]
+	if ds.session.SourceDown() {
+		return false
+	}
+	sub, ok := ds.nm.ToSub(n)
+	return !ok || !ds.session.IsParked(sub)
 }

@@ -324,25 +324,39 @@ func TestTransitStub(t *testing.T) {
 	if !ts.Graph.Connected(nil) {
 		t.Error("transit-stub graph must be connected")
 	}
-	if len(ts.Stubs) != cfg.TransitNodes*cfg.StubsPerNode {
-		t.Errorf("stub domains = %d", len(ts.Stubs))
+	wantStubs := cfg.TransitNodes * cfg.StubsPerNode
+	if len(ts.Domains) != 1+wantStubs {
+		t.Fatalf("domains = %d, want core + %d stubs", len(ts.Domains), wantStubs)
 	}
-	for _, stub := range ts.Stubs {
-		if stub.Kind != StubDomain {
-			t.Errorf("stub %d kind = %v", stub.ID, stub.Kind)
+	core := ts.Domains[0]
+	if core.ID != 0 || core.Level != 0 || core.Parent != -1 || len(core.Nodes) != cfg.TransitNodes {
+		t.Errorf("core domain mis-built: %+v", core)
+	}
+	if len(core.Children) != wantStubs {
+		t.Errorf("core children = %v", core.Children)
+	}
+	for i, stub := range ts.Domains[1:] {
+		if stub.ID != i+1 || core.Children[i] != stub.ID {
+			t.Errorf("stub %d out of order (children %v)", stub.ID, core.Children)
+		}
+		if stub.Level != 1 || stub.Parent != 0 || len(stub.Nodes) != cfg.StubNodes {
+			t.Errorf("stub %d mis-built: %+v", stub.ID, stub)
 		}
 		if !ts.Graph.HasEdge(stub.Gateway, stub.Attach) {
 			t.Errorf("stub %d gateway %d not linked to attach %d", stub.ID, stub.Gateway, stub.Attach)
 		}
-		if got := ts.DomainOf(stub.Nodes[1]); got == nil || got.ID != stub.ID {
-			t.Errorf("DomainOf(stub node) = %+v", got)
+		if ts.DomainOf(stub.Attach) != 0 {
+			t.Errorf("stub %d attaches outside the core", stub.ID)
+		}
+		if got := ts.DomainOf(stub.Nodes[1]); got != stub.ID {
+			t.Errorf("DomainOf(stub node) = %d, want %d", got, stub.ID)
 		}
 	}
-	if got := ts.DomainOf(ts.Transit.Nodes[0]); got == nil || got.Kind != TransitDomain {
-		t.Errorf("DomainOf(transit node) = %+v", got)
+	if got := ts.DomainOf(core.Nodes[0]); got != 0 {
+		t.Errorf("DomainOf(transit node) = %d, want 0", got)
 	}
-	if got := ts.DomainOf(graph.NodeID(wantNodes + 5)); got != nil {
-		t.Errorf("DomainOf(unknown) = %+v, want nil", got)
+	if got := ts.DomainOf(graph.NodeID(wantNodes + 5)); got != -1 {
+		t.Errorf("DomainOf(unknown) = %d, want -1", got)
 	}
 }
 
@@ -356,15 +370,6 @@ func TestTransitStubValidation(t *testing.T) {
 	bad2.StubAlpha = 2
 	if _, err := GenerateTransitStub(bad2, NewRNG(1)); err == nil {
 		t.Error("expected validation error for alpha > 1")
-	}
-}
-
-func TestDomainKindString(t *testing.T) {
-	if TransitDomain.String() != "transit" || StubDomain.String() != "stub" {
-		t.Error("DomainKind String mismatch")
-	}
-	if DomainKind(0).String() == "" {
-		t.Error("unknown kind should still render")
 	}
 }
 

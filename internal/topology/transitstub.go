@@ -7,48 +7,6 @@ import (
 	"smrp/internal/graph"
 )
 
-// DomainKind distinguishes transit from stub domains in a transit–stub
-// topology.
-type DomainKind int
-
-// Domain kinds. Enum starts at 1 so the zero value is invalid.
-const (
-	TransitDomain DomainKind = iota + 1
-	StubDomain
-)
-
-// String implements fmt.Stringer.
-func (k DomainKind) String() string {
-	switch k {
-	case TransitDomain:
-		return "transit"
-	case StubDomain:
-		return "stub"
-	default:
-		return fmt.Sprintf("DomainKind(%d)", int(k))
-	}
-}
-
-// Domain is one recovery domain of a transit–stub topology: a set of nodes
-// plus the gateway that attaches the domain to the next level up. For the
-// transit domain the gateway is its first node.
-type Domain struct {
-	ID      int
-	Kind    DomainKind
-	Nodes   []graph.NodeID
-	Gateway graph.NodeID // node connecting this domain upward (stub→transit)
-	Attach  graph.NodeID // transit node a stub domain is attached to (Invalid for transit)
-}
-
-// TransitStub is a 2-level transit–stub topology: one transit (core) domain
-// with a stub domain hanging off each transit node. This is the structure
-// the paper's hierarchical recovery architecture (Fig. 6) maps onto.
-type TransitStub struct {
-	Graph   *graph.Graph
-	Transit Domain
-	Stubs   []Domain
-}
-
 // TransitStubConfig parameterizes the 2-level generator.
 type TransitStubConfig struct {
 	TransitNodes  int     // nodes in the transit (core) domain
@@ -109,53 +67,54 @@ func (c TransitStubConfig) Validate() error {
 	return nil
 }
 
-// GenerateTransitStub builds a 2-level transit–stub topology. The transit
-// nodes are wired as a dense Waxman graph over the full plane; each stub
-// domain is a smaller Waxman graph placed near its attachment point and
-// joined to it through the stub's gateway node. All domains are individually
-// connected (Connectify is applied per domain).
-func GenerateTransitStub(cfg TransitStubConfig, rng *RNG) (*TransitStub, error) {
+// GenerateTransitStub builds a 2-level transit–stub topology as an
+// NLevelTopology: domain 0 is the transit core, domains 1..k are the stubs
+// (in the order of their attachment nodes), and the core's Children follow
+// that order. The transit nodes are wired as a dense Waxman graph over the
+// full plane; each stub domain is a smaller Waxman graph placed near its
+// attachment point and joined to it through the stub's gateway node. All
+// domains are individually connected (Connectify is applied per domain).
+func GenerateTransitStub(cfg TransitStubConfig, rng *RNG) (*NLevelTopology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	total := cfg.TransitNodes + cfg.TransitNodes*cfg.StubsPerNode*cfg.StubNodes
 	g := graph.New(total)
+	t := &NLevelTopology{Graph: g, Root: 0, domainOf: make([]int32, total)}
 	next := 0
-	newNode := func(p graph.Point) graph.NodeID {
+	newNode := func(p graph.Point, domain int) graph.NodeID {
 		id := graph.NodeID(next)
 		g.SetPos(id, p)
+		t.domainOf[id] = int32(domain)
 		next++
 		return id
 	}
 
 	// Transit domain nodes spread over the full plane.
-	transit := Domain{ID: 0, Kind: TransitDomain, Attach: graph.Invalid}
+	transit := NLevelDomain{ID: 0, Level: 0, Attach: graph.Invalid, Parent: -1}
 	for i := 0; i < cfg.TransitNodes; i++ {
 		id := newNode(graph.Point{
 			X: rng.Float64() * cfg.TransitExtent,
 			Y: rng.Float64() * cfg.TransitExtent,
-		})
+		}, 0)
 		transit.Nodes = append(transit.Nodes, id)
 	}
 	transit.Gateway = transit.Nodes[0]
 	if err := wireWaxman(g, transit.Nodes, cfg.TransitAlpha, cfg.Beta, rng); err != nil {
 		return nil, fmt.Errorf("transit wiring: %w", err)
 	}
-
-	ts := &TransitStub{Graph: g, Transit: transit}
+	t.Domains = append(t.Domains, transit)
 
 	// Stub domains, each clustered around its transit attachment.
-	domainID := 1
 	for _, attach := range transit.Nodes {
 		for s := 0; s < cfg.StubsPerNode; s++ {
 			center := g.Pos(attach)
-			stub := Domain{ID: domainID, Kind: StubDomain, Attach: attach}
-			domainID++
+			stub := NLevelDomain{ID: len(t.Domains), Level: 1, Attach: attach, Parent: 0}
 			for i := 0; i < cfg.StubNodes; i++ {
 				id := newNode(graph.Point{
 					X: center.X + (rng.Float64()-0.5)*cfg.StubExtent,
 					Y: center.Y + (rng.Float64()-0.5)*cfg.StubExtent,
-				})
+				}, stub.ID)
 				stub.Nodes = append(stub.Nodes, id)
 			}
 			if err := wireWaxman(g, stub.Nodes, cfg.StubAlpha, cfg.Beta, rng); err != nil {
@@ -167,10 +126,11 @@ func GenerateTransitStub(cfg TransitStubConfig, rng *RNG) (*TransitStub, error) 
 			if err := addDistEdge(g, stub.Gateway, attach); err != nil {
 				return nil, fmt.Errorf("stub %d uplink: %w", stub.ID, err)
 			}
-			ts.Stubs = append(ts.Stubs, stub)
+			t.Domains[0].Children = append(t.Domains[0].Children, stub.ID)
+			t.Domains = append(t.Domains, stub)
 		}
 	}
-	return ts, nil
+	return t, nil
 }
 
 // wireWaxman adds Waxman-model edges among the given node subset and then
@@ -288,22 +248,4 @@ func maxPairDist(g *graph.Graph, nodes []graph.NodeID) float64 {
 		}
 	}
 	return maxD
-}
-
-// DomainOf returns the domain containing node n (transit checked first), or
-// nil if n belongs to no domain of ts.
-func (ts *TransitStub) DomainOf(n graph.NodeID) *Domain {
-	for _, t := range ts.Transit.Nodes {
-		if t == n {
-			return &ts.Transit
-		}
-	}
-	for i := range ts.Stubs {
-		for _, m := range ts.Stubs[i].Nodes {
-			if m == n {
-				return &ts.Stubs[i]
-			}
-		}
-	}
-	return nil
 }
